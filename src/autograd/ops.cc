@@ -188,7 +188,7 @@ Variable Relu(const Variable& a) {
   return MakeOp("Relu", t::Relu(a.value()), {a}, [an](const Tensor& g) {
     Tensor masked(g.shape());
     const float* pg = g.data();
-    const float* px = an->value.data();
+    const float* px = std::as_const(an->value).data();
     float* po = masked.data();
     for (int64_t i = 0; i < g.numel(); ++i) {
       po[i] = px[i] > 0.0f ? pg[i] : 0.0f;
@@ -225,7 +225,7 @@ Variable Clamp(const Variable& a, float lo, float hi) {
                 [an, lo, hi](const Tensor& g) {
                   Tensor masked(g.shape());
                   const float* pg = g.data();
-                  const float* px = an->value.data();
+                  const float* px = std::as_const(an->value).data();
                   float* po = masked.data();
                   for (int64_t i = 0; i < g.numel(); ++i) {
                     po[i] = (px[i] > lo && px[i] < hi) ? pg[i] : 0.0f;
@@ -508,7 +508,9 @@ Variable LayerNormLastDim(const Variable& x, const Variable& gamma,
         Tensor dx(xn->value.shape());
         const float* pg = g.data();
         const float* ph = xhat.data();
-        const float* pgam = gn->value.data();
+        // Const access: gamma is a parameter shared by every concurrent
+        // leaf backward, and the mutable data() would fork its storage.
+        const float* pgam = std::as_const(gn->value).data();
         const float* pistd = inv_std.data();
         float* pdg = dgamma.data();
         float* pdb = dbeta.data();

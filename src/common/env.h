@@ -25,18 +25,14 @@
 //          debug checks (src/common/check.cc): tensors are scanned for
 //          NaN/Inf at checkpoints, at a large cost.
 //
-// Memory model (consumed by src/tensor/storage.cc and tensor.cc; read
-// once at first allocation, so set them before the process starts):
+// Memory model (consumed by src/tensor/storage.cc; read once at first
+// allocation, so set them before the process starts):
 //   PRISTI_BUFFER_POOL  1 — 0 disables the Storage buffer pool's
 //          recycling; every tensor buffer comes from the heap. The A/B
 //          baseline for allocator measurements; counters in
 //          tensor::GetAllocStats() accumulate either way.
 //   PRISTI_POOL_MAX_MB  512 — cap on bytes cached in the pool's free
 //          lists. Excess frees go back to the heap.
-//   PRISTI_MALLOC_TUNE  0 — 1 re-enables the legacy glibc
-//          mallopt(M_MMAP_THRESHOLD/M_TRIM_THRESHOLD) tuning that
-//          predated the pool. Off by default: the pool recycles
-//          activation buffers directly.
 //
 // GEMM kernel layer (consumed by src/tensor/kernels/; read once at first
 // GEMM):

@@ -24,8 +24,6 @@
 //   PRISTI_BUFFER_POOL=0    disable recycling (every request hits the heap;
 //                           counters still accumulate) — the A/B baseline.
 //   PRISTI_POOL_MAX_MB=N    cap on pooled (cached-free) bytes, default 512.
-//   PRISTI_MALLOC_TUNE=1    re-enable the legacy glibc mallopt tuning that
-//                           the pool replaced (src/tensor/tensor.cc).
 
 #include <atomic>
 #include <cstdint>

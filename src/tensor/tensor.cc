@@ -9,13 +9,8 @@
 #include <sstream>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "common/parallel.h"
 #include "tensor/kernels/kernels.h"
-
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
 
 namespace pristi::tensor {
 
@@ -25,21 +20,6 @@ namespace {
 // enqueue/wake overhead on the persistent pool outweighs the loop body, so
 // ParallelFor degenerates to the inline path for small tensors.
 constexpr int64_t kElementwiseMinChunk = 1 << 14;
-
-#if defined(__GLIBC__)
-// Legacy allocator tuning, opt-in via PRISTI_MALLOC_TUNE=1. glibc serves
-// allocations above M_MMAP_THRESHOLD (default 128 KiB) with a fresh mmap and
-// returns them to the OS on free; before the BufferPool (storage.h) existed,
-// raising the thresholds was how sample-batched activations avoided
-// mmap/munmap churn. The pool now recycles those buffers directly, so the
-// process-global tweak is off by default and kept only for A/B measurement.
-const bool g_malloc_tuned = [] {
-  if (GetEnvIntOr("PRISTI_MALLOC_TUNE", 0) == 0) return false;
-  mallopt(M_MMAP_THRESHOLD, 1 << 27);
-  mallopt(M_TRIM_THRESHOLD, 1 << 27);
-  return true;
-}();
-#endif
 
 }  // namespace
 

@@ -596,5 +596,23 @@ TEST(GradCaptureScope, NestingDies) {
       "");
 }
 
+// Backward closures only read their inputs' values. A mutable data() there
+// forks the input's storage whenever another header shares it, and for a
+// parameter that every concurrent leaf backward of the sharded trainer
+// reads (LayerNorm's gamma) that fork is a data race.
+TEST(BackwardReads, InputStorageIsNotForked) {
+  Rng rng(3);
+  Variable x(Tensor::Randn({2, 4}, rng), true);
+  Variable gamma(Tensor::Randn({4}, rng), true);
+  Variable beta(Tensor::Randn({4}, rng), true);
+  Tensor x_alias = x.value();
+  Tensor gamma_alias = gamma.value();
+  Variable y = Add(Add(LayerNormLastDim(x, gamma, beta), Relu(x)),
+                   Clamp(x, -0.5f, 0.5f));
+  SumAll(y).Backward();
+  EXPECT_TRUE(gamma.value().SharesStorage(gamma_alias));
+  EXPECT_TRUE(x.value().SharesStorage(x_alias));
+}
+
 }  // namespace
 }  // namespace pristi::autograd

@@ -5,8 +5,7 @@
 // Loads every analyzed file once, runs the registered passes (all by
 // default, or the comma-separated subset from --rules), prints one line
 // per unsuppressed violation, and exits 0 (clean) / 1 (violations) /
-// 2 (usage or not a repo root). The binary is also installed under the
-// historical name `pristi_lint`; both spell the same engine.
+// 2 (usage or not a repo root).
 
 #include <cstring>
 #include <filesystem>
@@ -19,14 +18,6 @@
 
 namespace {
 
-const char* ProgramName(const char* argv0) {
-  std::filesystem::path p(argv0 != nullptr ? argv0 : "pristi_analyze");
-  static std::string name;
-  name = p.filename().string();
-  if (name.empty()) name = "pristi_analyze";
-  return name.c_str();
-}
-
 int Usage(const char* prog) {
   std::cerr << "usage: " << prog << " [repo_root] [--rules=a,b,c] [--list]\n"
             << "  repo_root     directory containing src/ (default: .)\n"
@@ -38,7 +29,7 @@ int Usage(const char* prog) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* prog = ProgramName(argc > 0 ? argv[0] : nullptr);
+  const char* prog = "pristi_analyze";
   std::string root = ".";
   bool root_set = false;
   bool list = false;
