@@ -36,10 +36,6 @@
 //
 // GEMM kernel layer (consumed by src/tensor/kernels/; read once at first
 // GEMM):
-//   PRISTI_GEMM_TILE  1 — 0 routes every matrix product through the
-//          retained reference kernel (operands read in place, no packing)
-//          instead of the tiled micro-kernel. The A/B baseline for
-//          KernelBench; results are bit-identical either way.
 //   PRISTI_PACK_CACHE_MB  64 — cap on resident packed weight panels in
 //          the GEMM pack cache. 0 disables the cache: every call repacks
 //          its operands into thread-local scratch.

@@ -335,10 +335,10 @@ namespace {
 // every chain (the PLMS warm-up makes a few calls per step).
 // `target_masks` is stacked per chain ((num_chains, N, L)), which is what
 // lets chains from DIFFERENT requests — different windows, different masks
-// — share one model call on the coalesced path. The sequential fallback
-// calls this with num_chains == 1 per chain; all paths execute identical
-// per-entry arithmetic (and a FRESH stepper per call, so PLMS history is
-// per-chain-set), so they agree when fed the same chain streams.
+// — share one model call on the coalesced path. Every path executes
+// identical per-entry arithmetic (and a FRESH stepper per call, so PLMS
+// history is per-chain-set), so a one-chain-at-a-time run fed the same
+// chain streams agrees with the batched one (tests/sequential_oracle.h).
 Tensor RunReverseChains(ConditionalNoisePredictor* model,
                         const DiffusionBatch& batch,
                         const std::vector<ReverseStep>& plan,
@@ -440,28 +440,18 @@ ImputationResult ImputeWindow(ConditionalNoisePredictor* model,
   result.samples.reserve(static_cast<size_t>(s));
   Tensor observed_values = t::Mul(sample.values, sample.observed);
 
-  if (options.sequential_fallback) {
-    // Oracle path: one chain per model call, batch size 1.
-    for (int64_t c = 0; c < s; ++c) {
-      Tensor xc = RunReverseChains(model, batch, plan, options.sampler,
-                                   &chains[static_cast<size_t>(c)], 1,
-                                   batch.target_mask);
-      AppendMergedChain(xc.data(), observed_values, target_mask, &result);
-    }
-  } else {
-    // Batched path: all chains advance together; each reverse step is a
-    // single (S, N, L) model call.
-    DiffusionBatch tiled;
-    tiled.cond_values = TileChains(batch.cond_values, s);
-    tiled.cond_mask = TileChains(batch.cond_mask, s);
-    tiled.interpolated = TileChains(batch.interpolated, s);
-    tiled.target_mask = TileChains(batch.target_mask, s);
-    Tensor x = RunReverseChains(model, tiled, plan, options.sampler,
-                                chains.data(), s, tiled.target_mask);
-    for (int64_t c = 0; c < s; ++c) {
-      AppendMergedChain(x.data() + c * n * l, observed_values, target_mask,
-                        &result);
-    }
+  // All chains advance together; each reverse step is a single (S, N, L)
+  // model call.
+  DiffusionBatch tiled;
+  tiled.cond_values = TileChains(batch.cond_values, s);
+  tiled.cond_mask = TileChains(batch.cond_mask, s);
+  tiled.interpolated = TileChains(batch.interpolated, s);
+  tiled.target_mask = TileChains(batch.target_mask, s);
+  Tensor x = RunReverseChains(model, tiled, plan, options.sampler,
+                              chains.data(), s, tiled.target_mask);
+  for (int64_t c = 0; c < s; ++c) {
+    AppendMergedChain(x.data() + c * n * l, observed_values, target_mask,
+                      &result);
   }
 
   FinalizeMedian(&result, n, l);
@@ -576,10 +566,8 @@ std::vector<ImputationResult> ImputeWindowsCoalesced(
       group_windows.push_back(windows[r]);
       group_seeds.push_back(seeds[r]);
     }
-    ImputeOptions group_options = options[members.front()];
-    group_options.sequential_fallback = false;
     std::vector<ImputationResult> group_results = ImputeWindowsCoalesced(
-        model, schedule, group_windows, group_seeds, group_options);
+        model, schedule, group_windows, group_seeds, options[members.front()]);
     for (size_t i = 0; i < members.size(); ++i) {
       results[members[i]] = std::move(group_results[i]);
     }

@@ -149,21 +149,16 @@ struct ImputeOptions {
   // samplers, so step-count sweeps are sampler-comparable
   // (bench/ext_sampler_ablation.cc, tests/sampler_parity_test.cc).
   int64_t num_inference_steps = 0;
-  // Runs the `num_samples` reverse chains one at a time (batch size 1 per
-  // model call) instead of stacking them into one (S, N, L) batch. The two
-  // paths draw from identical per-chain RNG streams (and PLMS keeps its
-  // eps history per chain), so the sequential path is the reference oracle
-  // the sampler-equivalence tests compare against.
-  bool sequential_fallback = false;
 };
 
 // Derives `count` independent per-chain RNG streams from `rng` by counter
 // seeding: one draw from `rng` fixes a root, and chain i is seeded with
 // mix(root, i) (a SplitMix64 finalizer). Because every chain's stream
 // depends only on (root, i) — not on how many draws other chains made —
-// the batched sampler (chains interleaved per step) and the sequential
-// fallback (chains completed one after another) consume identical noise per
-// chain, which is what makes them comparable at tight tolerance. Consumes
+// the batched sampler (chains interleaved per step) and a one-chain-at-a-
+// time run (chains completed one after another, as the test oracle in
+// tests/sequential_oracle.h does) consume identical noise per chain, which
+// is what makes them comparable at tight tolerance. Consumes
 // exactly one draw from `rng` regardless of `count`.
 std::vector<Rng> MakeChainStreams(Rng& rng, int64_t count);
 
@@ -184,9 +179,8 @@ ImputationResult ImputeWindow(ConditionalNoisePredictor* model,
 //   ImputeWindow(model, schedule, windows[r], options, rng);
 // regardless of batch composition or arrival order — serve_test enforces
 // this. `options.num_samples` and the sampler settings are shared by the
-// whole batch (that is what makes windows coalescible);
-// `options.sequential_fallback` is ignored. Returns one result per window,
-// in input order.
+// whole batch (that is what makes windows coalescible). Returns one result
+// per window, in input order.
 std::vector<ImputationResult> ImputeWindowsCoalesced(
     ConditionalNoisePredictor* model, const NoiseSchedule& schedule,
     const std::vector<data::Sample>& windows,

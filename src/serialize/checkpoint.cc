@@ -273,29 +273,6 @@ Status LoadModuleCheckpointFile(nn::Module& module, const std::string& path) {
   return LoadModule(module, view);
 }
 
-Status LoadModuleCheckpointFileAuto(nn::Module& module,
-                                    const std::string& path) {
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      return Status::Error(ErrorCode::kIoError, "cannot open '" + path + "'");
-    }
-    char magic[sizeof(kMagic)] = {};
-    in.read(magic, sizeof(magic));
-    if (in.gcount() == static_cast<std::streamsize>(sizeof(magic)) &&
-        std::equal(magic, magic + sizeof(magic), kMagic)) {
-      return LoadModuleCheckpointFile(module, path);
-    }
-  }
-  // Legacy (pre-versioned) checkpoint written by Module::SaveToFile; its
-  // loader keeps the historical CHECK-on-mismatch behavior.
-  if (!module.LoadFromFile(path)) {
-    return Status::Error(ErrorCode::kIoError,
-                         "cannot load legacy checkpoint '" + path + "'");
-  }
-  return Status::Ok();
-}
-
 // ---- Retention -------------------------------------------------------------
 
 std::string CheckpointFileName(const std::string& dir,

@@ -60,14 +60,11 @@ Status LoadRng(Rng* rng, const CheckpointView& view,
 
 // ---- Whole-module checkpoint files -----------------------------------------
 // A standalone model checkpoint ("pristi-module" kind): header + named
-// parameters. Save is atomic (temp file + rename).
+// parameters. This is the only model-checkpoint format. Save is atomic (temp
+// file + rename); Load returns a typed error for a missing, empty, short,
+// foreign or damaged file and leaves the module untouched.
 Status SaveModuleCheckpointFile(nn::Module& module, const std::string& path);
 Status LoadModuleCheckpointFile(nn::Module& module, const std::string& path);
-// Sniffs the magic: new-format files go through LoadModuleCheckpointFile;
-// anything else falls back to the legacy Module::LoadFromFile format so
-// pre-existing checkpoints keep working.
-Status LoadModuleCheckpointFileAuto(nn::Module& module,
-                                    const std::string& path);
 
 // ---- Crash-safe file write -------------------------------------------------
 // Runs `write_fn` against a temporary file next to `path`, then renames it

@@ -131,8 +131,7 @@ Status ServeSession::ReloadCheckpoint(const std::string& path) {
     return Status::Error(ErrorCode::kInvalidRequest,
                          "staging model is not an nn::Module");
   }
-  Status status =
-      serialize::LoadModuleCheckpointFileAuto(*staging.module, path);
+  Status status = serialize::LoadModuleCheckpointFile(*staging.module, path);
   if (!status.ok()) {
     std::lock_guard<std::mutex> guard(mu_);
     ++stats_.reloads_rejected;

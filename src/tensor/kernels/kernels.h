@@ -7,8 +7,7 @@
 // layer provides one register-tiled (kRowTile x kColTile accumulator
 // block), panel-packed micro-kernel with four logical layouts (NN/NT/TN —
 // TT never occurs in this codebase) and a batched driver, plus a retained
-// reference kernel for exact-equality testing and the PRISTI_GEMM_TILE=0
-// fallback.
+// reference kernel for exact-equality testing.
 //
 // Bit-identity contract: for every output element c[i][j], ALL kernels
 // perform the same scalar chain
@@ -39,10 +38,7 @@
 // are batch-parallel with a serial kernel per item. Both partitions keep
 // each output element on exactly one thread, preserving bit-identity.
 //
-// Environment knobs (read once at first use; see src/common/env.h):
-//   PRISTI_GEMM_TILE=0      route everything through the reference kernel
-//                           (A/B read in place, no packing) — the A/B
-//                           baseline for KernelBench.
+// Environment knob (read once at first use; see src/common/env.h):
 //   PRISTI_PACK_CACHE_MB=N  cap on resident packed panels (default 64);
 //                           0 disables the cache (panels pack per call).
 
@@ -90,12 +86,9 @@ struct KernelStats {
 
 KernelStats GetKernelStats();
 
-// True unless PRISTI_GEMM_TILE=0 selected the reference path at startup.
-bool TiledGemmEnabled();
-
 // Reference kernel: C += op(A)·op(B) with the plain i-k-j loop, operands
 // read in place (strided when transposed). Serial; retained as the
-// bit-identity oracle for tests and the PRISTI_GEMM_TILE=0 fallback.
+// bit-identity oracle for tests and the KernelBench A/B baseline.
 void ReferenceGemm(Layout layout_a, Layout layout_b, int64_t m, int64_t n,
                    int64_t k, const float* a, const float* b, float* c);
 

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "common/parallel.h"
 #include "tensor/kernels/kernels.h"
 #include "tensor/kernels/pack_cache.h"
@@ -326,11 +325,6 @@ KernelStats GetKernelStats() {
   return s;
 }
 
-bool TiledGemmEnabled() {
-  static const bool enabled = GetEnvIntOr("PRISTI_GEMM_TILE", 1) != 0;
-  return enabled;
-}
-
 void ReferenceGemm(Layout layout_a, Layout layout_b, int64_t m, int64_t n,
                    int64_t k, const float* a, const float* b, float* c) {
   if (m <= 0 || n <= 0 || k <= 0) return;
@@ -346,16 +340,6 @@ void Gemm(Layout layout_a, Layout layout_b, int64_t m, int64_t n, int64_t k,
   ctr.flops.fetch_add(2ull * static_cast<uint64_t>(m) *
                           static_cast<uint64_t>(n) * static_cast<uint64_t>(k),
                       std::memory_order_relaxed);
-
-  if (!TiledGemmEnabled()) {
-    pristi::ParallelFor(
-        0, m,
-        [&](int64_t r0, int64_t r1) {
-          ReferenceGemmRows(layout_a, layout_b, m, n, k, r0, r1, a, b, c);
-        },
-        MinChunkFor(2 * n * k));
-    return;
-  }
 
   // Packing runs once on the calling thread; workers then own disjoint row
   // blocks of C, so bit-identity holds at any thread count.
@@ -386,20 +370,6 @@ void BatchedGemm(Layout layout_a, Layout layout_b, int64_t batch, int64_t m,
                           static_cast<uint64_t>(k),
                       std::memory_order_relaxed);
   const int64_t item_flops = 2 * m * n * k;
-
-  if (!TiledGemmEnabled()) {
-    pristi::ParallelFor(
-        0, batch,
-        [&](int64_t b0, int64_t b1) {
-          for (int64_t bi = b0; bi < b1; ++bi) {
-            ReferenceGemmRows(layout_a, layout_b, m, n, k, 0, m,
-                              a + bi * stride_a, b + bi * stride_b,
-                              c + bi * m * n);
-          }
-        },
-        MinChunkFor(item_flops));
-    return;
-  }
 
   // A broadcast across the batch (stride 0) packs once up front — from the
   // cache when the caller identified the operand — and is shared read-only

@@ -2,6 +2,7 @@
 // methods, training smoke + quality checks for the deep methods.
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "baselines/rnn.h"
 #include "baselines/simple.h"
 #include "baselines/vae.h"
+#include "data/missing.h"
 #include "data/windows.h"
 #include "metrics/metrics.h"
 
@@ -388,6 +390,57 @@ TEST(CsdiTest, ForwardShapeAndGrads) {
   }
 }
 
+// Masked denoising loss (the Algorithm 1 objective) of `model` on a fixed
+// probe set: every training window, re-masked with the point strategy and
+// given fresh noise, at kProbeSteps diffusion steps spread evenly over the
+// schedule. Masks and noise come from Rng(seed), so the set is the same
+// before and after training and the loss moves only when the weights do.
+// Epoch-mean training losses draw new steps and noise every epoch; their
+// first-vs-last comparison is dominated by that draw, not by learning.
+constexpr int64_t kProbeSteps = 5;
+double ProbeLoss(diffusion::ConditionalNoisePredictor* model,
+                 const data::ImputationTask& task,
+                 const diffusion::NoiseSchedule& schedule, uint64_t seed) {
+  autograd::NoGradGuard no_grad;
+  Rng rng(seed);
+  std::vector<data::Sample> windows = data::ExtractSamples(task, "train");
+  double squared_error = 0.0, target_count = 0.0;
+  for (int64_t i = 0; i < kProbeSteps; ++i) {
+    int64_t step = 1 + i * schedule.num_steps() / kProbeSteps;
+    std::vector<Tensor> cond_values, cond_masks, interpolated, targets, x0;
+    for (const data::Sample& window : windows) {
+      Tensor target = data::ApplyMaskStrategy(
+          window.observed, data::MaskStrategy::kPoint, rng);
+      Tensor cond = data::MaskMinus(window.observed, target);
+      cond_values.push_back(t::Mul(window.values, cond));
+      cond_masks.push_back(cond);
+      interpolated.push_back(data::LinearInterpolate(window.values, cond));
+      x0.push_back(t::Mul(window.values, target));
+      targets.push_back(std::move(target));
+    }
+    diffusion::DiffusionBatch batch;
+    batch.cond_values = t::Stack(cond_values);
+    batch.cond_mask = t::Stack(cond_masks);
+    batch.interpolated = t::Stack(interpolated);
+    batch.target_mask = t::Stack(targets);
+    Tensor clean = t::Stack(x0);
+    Tensor eps = Tensor::Randn(clean.shape(), rng);
+    Tensor noisy = t::Mul(diffusion::QSample(clean, eps, schedule, step),
+                          batch.target_mask);
+    Tensor predicted = model->PredictNoise(noisy, batch, step).value();
+    for (int64_t j = 0; j < eps.numel(); ++j) {
+      double diff = predicted[j] - eps[j];
+      squared_error += batch.target_mask[j] * diff * diff;
+      target_count += batch.target_mask[j];
+    }
+  }
+  return squared_error / target_count;
+}
+
+// Training must lower the denoising loss on the fixed probe set. With this
+// setup the check passes for 38 of model seeds 1-40 on the single-stream
+// loop and 39 of 40 on the sharded one, and fails at lr = 0 (the weights,
+// hence the probe loss, stay put).
 TEST(CsdiTest, TrainingLossDecreases) {
   data::ImputationTask task = SmallTask(33);
   CsdiConfig config;
@@ -403,15 +456,15 @@ TEST(CsdiTest, TrainingLossDecreases) {
   CsdiModel model(config, rng);
   auto schedule = diffusion::NoiseSchedule::Quadratic(50, 1e-4f, 0.2f);
   diffusion::TrainOptions options;
-  options.epochs = 12;
+  options.epochs = 16;
   options.batch_size = 8;
   options.lr = 2e-3f;
   options.mask_strategy = data::MaskStrategy::kPoint;
-  auto losses =
-      diffusion::TrainDiffusionModel(&model, schedule, task, options, rng);
-  double first = (losses[0] + losses[1]) / 2;
-  double last = (losses[losses.size() - 2] + losses.back()) / 2;
-  EXPECT_LT(last, first);
+  const uint64_t probe_seed = 404;
+  double before = ProbeLoss(&model, task, schedule, probe_seed);
+  diffusion::TrainDiffusionModel(&model, schedule, task, options, rng);
+  double after = ProbeLoss(&model, task, schedule, probe_seed);
+  EXPECT_LT(after, before);
 }
 
 }  // namespace

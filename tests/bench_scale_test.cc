@@ -15,10 +15,10 @@
 #include <gtest/gtest.h>
 
 #include "bench_common.h"
-#include "bench_common.h"
 #include "common/env.h"
 #include "common/parallel.h"
 #include "common/stopwatch.h"
+#include "sequential_oracle.h"
 #include "tensor/kernels/kernels.h"
 #include "tensor/storage.h"
 #include "test_tmpdir.h"
@@ -109,11 +109,13 @@ TEST(SamplerBench, SamplesPerSecondSweep) {
   auto run = [&](int64_t samples, bool sequential) {
     diffusion::ImputeOptions impute = options.impute;
     impute.num_samples = samples;
-    impute.sequential_fallback = sequential;
     Rng sample_rng(29);
     Stopwatch watch;
     diffusion::ImputationResult result =
-        diffusion::ImputeWindow(&model, schedule, window, impute, sample_rng);
+        sequential ? pristi::testing::SequentialImputeWindow(
+                         &model, schedule, window, impute, sample_rng)
+                   : diffusion::ImputeWindow(&model, schedule, window, impute,
+                                             sample_rng);
     double seconds = watch.ElapsedSeconds();
     EXPECT_EQ(result.samples.size(), static_cast<size_t>(samples));
     return seconds;

@@ -1,5 +1,5 @@
 // Additional edge-case and property coverage across modules: exact-recovery
-// cases for classic baselines, file-based serialization, interpolation
+// cases for classic baselines, CSV table output, interpolation
 // bounds, schedule endpoints, and window boundary handling.
 
 #include <cstdio>
@@ -158,26 +158,6 @@ TEST(WindowBoundary, LastWindowTouchesSeriesEnd) {
 // ---------------------------------------------------------------------------
 // File-based persistence
 // ---------------------------------------------------------------------------
-
-TEST(FilePersistence, ModuleSaveLoadFileRoundTrip) {
-  Rng rng1(7), rng2(8);
-  nn::Mlp a(3, 4, 2, rng1);
-  nn::Mlp b(3, 4, 2, rng2);
-  pristi::testing::TestTempDir tmp;
-  std::string path = tmp.File("ckpt.bin");
-  ASSERT_TRUE(a.SaveToFile(path));
-  ASSERT_TRUE(b.LoadFromFile(path));
-  Tensor probe = Tensor::Ones({2, 3});
-  EXPECT_TRUE(t::AllClose(a.Forward(ag::Constant(probe)).value(),
-                          b.Forward(ag::Constant(probe)).value(), 0.0f,
-                          0.0f));
-}
-
-TEST(FilePersistence, LoadFromMissingFileFails) {
-  Rng rng(9);
-  nn::Mlp m(2, 3, 2, rng);
-  EXPECT_FALSE(m.LoadFromFile("/nonexistent/path/ckpt.bin"));
-}
 
 TEST(FilePersistence, TablePrinterWritesCsvFile) {
   TablePrinter table({"a", "b"});

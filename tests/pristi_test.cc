@@ -192,8 +192,8 @@ TEST(PristiModelTest, CheckpointRoundTrip) {
   Tensor noisy = Tensor::Randn({1, 4, 6}, data_rng);
   Tensor out_a = a.PredictNoise(noisy, batch, 3).value();
   std::stringstream buffer;
-  a.Save(buffer);
-  b.Load(buffer);
+  ASSERT_TRUE(a.SaveCheckpoint(buffer).ok());
+  ASSERT_TRUE(b.LoadCheckpoint(buffer).ok());
   Tensor out_b = b.PredictNoise(noisy, batch, 3).value();
   EXPECT_TRUE(t::AllClose(out_a, out_b, 1e-6f));
 }

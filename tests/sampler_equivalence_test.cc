@@ -2,8 +2,8 @@
 //
 // The batched sampler stacks all `num_samples` chains into one (S, N, L)
 // tensor and makes a single model call per reverse step; the sequential
-// fallback (ImputeOptions::sequential_fallback) runs the same chains one at
-// a time at batch size 1 and is the reference oracle. Both draw from
+// oracle (tests/sequential_oracle.h) runs the same chains one at a time at
+// batch size 1 and is the reference. Both draw from
 // identical counter-seeded per-chain RNG streams (MakeChainStreams), so:
 //
 //   * DDIM/PLMS (deterministic after the initial draw) must agree per
@@ -41,6 +41,7 @@
 #include "diffusion/ddpm.h"
 #include "diffusion/schedule.h"
 #include "pristi/pristi_model.h"
+#include "sequential_oracle.h"
 
 namespace pristi::diffusion {
 namespace {
@@ -119,8 +120,11 @@ ImputationResult RunImpute(ConditionalNoisePredictor* model,
                            const NoiseSchedule& schedule,
                            const data::Sample& sample, ImputeOptions options,
                            uint64_t seed, bool sequential) {
-  options.sequential_fallback = sequential;
   Rng rng(seed);
+  if (sequential) {
+    return pristi::testing::SequentialImputeWindow(model, schedule, sample,
+                                                   options, rng);
+  }
   return ImputeWindow(model, schedule, sample, options, rng);
 }
 
@@ -345,7 +349,7 @@ TEST(PlanReverseSteps, SubsetRuleMatchesClassicStrides) {
   }
 }
 
-TEST(SamplerEquivalence, SequentialFallbackPreservesObservedEntries) {
+TEST(SamplerEquivalence, BatchedAndSequentialPreserveObservedEntries) {
   const int64_t n = 6, l = 8;
   data::Sample sample = MakeWindow(n, l, 41);
   auto model = MakeTinyModel(n, l, 42);

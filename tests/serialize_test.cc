@@ -288,7 +288,7 @@ TEST(ModuleRoundTrip, PristiModelStreamRoundTripBitExact) {
   ExpectModulesBitEqual(*a, *b);
 }
 
-TEST(ModuleRoundTrip, FileRoundTripAndLegacyAutoDetect) {
+TEST(ModuleRoundTrip, FileRoundTrip) {
   auto a = MakeTinyModel(4, 6, 3);
   pristi::testing::TestTempDir tmp;
   std::string path = tmp.File("model.ckpt");
@@ -296,18 +296,10 @@ TEST(ModuleRoundTrip, FileRoundTripAndLegacyAutoDetect) {
   EXPECT_FALSE(fs::exists(path + ".tmp"));  // atomic write left no temp
 
   auto b = MakeTinyModel(4, 6, 4);
-  ASSERT_TRUE(LoadModuleCheckpointFileAuto(*b, path).ok());
+  ASSERT_TRUE(LoadModuleCheckpointFile(*b, path).ok());
   ExpectModulesBitEqual(*a, *b);
 
-  // A legacy Module::SaveToFile checkpoint loads through the same entry
-  // point via magic sniffing.
-  std::string legacy = tmp.File("legacy.bin");
-  ASSERT_TRUE(a->SaveToFile(legacy));
-  auto c = MakeTinyModel(4, 6, 5);
-  ASSERT_TRUE(LoadModuleCheckpointFileAuto(*c, legacy).ok());
-  ExpectModulesBitEqual(*a, *c);
-
-  Status missing = LoadModuleCheckpointFileAuto(*b, tmp.File("absent.ckpt"));
+  Status missing = LoadModuleCheckpointFile(*b, tmp.File("absent.ckpt"));
   EXPECT_EQ(missing.code(), ErrorCode::kIoError);
 }
 
@@ -467,6 +459,50 @@ TEST(TypedErrors, HeaderDamageIsBadMagicOrVersionSkew) {
 
   std::string trailing = bytes + "xx";
   EXPECT_EQ(ParseBytes(trailing, &view).code(), ErrorCode::kBadRecord);
+}
+
+// Files that are not checkpoints at all come back as typed errors and leave
+// the model untouched: an empty file, a few junk bytes shorter than the
+// magic, and the pre-versioned stream layout (u64 parameter count, then per
+// parameter a u64-length-prefixed name and a raw tensor), which no loader
+// reads any more.
+TEST(TypedErrors, NonCheckpointFilesRejectedNotAborted) {
+  auto source = MakeTinyModel(4, 6, 12);
+  std::ostringstream old_layout(std::ios::binary);
+  auto named = source->NamedParameters();
+  uint64_t count = named.size();
+  old_layout.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  for (auto& [name, param] : named) {
+    uint64_t len = name.size();
+    old_layout.write(reinterpret_cast<const char*>(&len), sizeof(len));
+    old_layout.write(name.data(), static_cast<std::streamsize>(len));
+    t::WriteTensor(old_layout, param.value());
+  }
+
+  struct Case {
+    std::string what;
+    std::string bytes;
+    ErrorCode expected;
+  };
+  const std::vector<Case> cases = {
+      {"empty", "", ErrorCode::kTruncated},
+      {"short junk", "junk!!!", ErrorCode::kTruncated},
+      {"old stream layout", old_layout.str(), ErrorCode::kBadMagic},
+  };
+  pristi::testing::TestTempDir tmp;
+  for (const auto& [what, bytes, expected] : cases) {
+    SCOPED_TRACE(what);
+    std::string path = tmp.File("not_a_checkpoint.bin");
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    auto victim = MakeTinyModel(4, 6, 13);
+    auto witness = MakeTinyModel(4, 6, 13);
+    Status status = LoadModuleCheckpointFile(*victim, path);
+    EXPECT_EQ(status.code(), expected) << status.ToString();
+    ExpectModulesBitEqual(*victim, *witness);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -721,7 +721,6 @@ TEST(KernelLayer, BitInvariantAcrossThreadCounts) {
 
 TEST(KernelLayer, PackCacheHitsOnRepeatAndInvalidatesOnMutation) {
   namespace kn = kernels;
-  if (!kn::TiledGemmEnabled()) GTEST_SKIP() << "reference path: no packing";
   Rng rng(75);
   Tensor x = Tensor::Randn({6, 9}, rng);
   Tensor w = Tensor::Randn({9, 4}, rng);
@@ -750,8 +749,6 @@ TEST(KernelLayer, PackCacheHitsOnRepeatAndInvalidatesOnMutation) {
 }
 
 TEST(KernelLayer, PackCacheDistinguishesCopiesAfterCowFork) {
-  namespace kn = kernels;
-  if (!kn::TiledGemmEnabled()) GTEST_SKIP() << "reference path: no packing";
   Rng rng(76);
   Tensor x = Tensor::Randn({4, 9}, rng);
   Tensor w = Tensor::Randn({9, 4}, rng);
@@ -770,7 +767,7 @@ TEST(KernelLayer, PackCacheDistinguishesCopiesAfterCowFork) {
 
 TEST(KernelLayer, PackCacheDropsEntriesWhenStorageDies) {
   namespace kn = kernels;
-  if (!kn::TiledGemmEnabled() || !kn::PackCacheEnabled()) {
+  if (!kn::PackCacheEnabled()) {
     GTEST_SKIP() << "pack cache off";
   }
   Rng rng(78);

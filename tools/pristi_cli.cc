@@ -215,11 +215,15 @@ int CmdImpute(const Flags& flags) {
   eval::DiffusionRunOptions options = RunOptions(flags, task);
   auto model = std::make_shared<core::PristiModel>(
       config, task.dataset.graph.adjacency, rng);
+  std::string out = flags.GetString("out", "imputed.csv");
   std::string ckpt = flags.GetString("model");
   if (!ckpt.empty()) {
-    Status status = serialize::LoadModuleCheckpointFileAuto(*model, ckpt);
-    CHECK(status.ok()) << "cannot load " << ckpt << ": "
-                       << status.ToString();
+    Status status = serialize::LoadModuleCheckpointFile(*model, ckpt);
+    if (!status.ok()) {
+      std::printf("cannot load %s: %s\n", ckpt.c_str(),
+                  status.ToString().c_str());
+      return 1;
+    }
     std::printf("loaded checkpoint %s\n", ckpt.c_str());
   } else {
     PRISTI_LOG_WARNING << "--model not given; imputing with an untrained "
@@ -232,7 +236,6 @@ int CmdImpute(const Flags& flags) {
   out_dataset.values = completed;
   out_dataset.observed_mask =
       tensor::Tensor::Ones(completed.shape());
-  std::string out = flags.GetString("out", "imputed.csv");
   CHECK(data::WriteCsvDataset(out_dataset, out));
   std::printf("wrote completed series to %s\n", out.c_str());
   return 0;
@@ -257,9 +260,8 @@ int CmdSave(const Flags& flags) {
   return 0;
 }
 
-// `load`: validates that a checkpoint (new format or legacy) restores into
-// the model architecture described by the flags; with --out it re-saves in
-// the current format, which migrates legacy checkpoints.
+// `load`: validates that a checkpoint restores into the model architecture
+// described by the flags.
 int CmdLoad(const Flags& flags) {
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 1)));
   data::ImputationTask task = MakeTaskFromFlags(flags, rng);
@@ -270,23 +272,13 @@ int CmdLoad(const Flags& flags) {
     std::printf("load: --model=<checkpoint> is required\n");
     return 2;
   }
-  Status status = serialize::LoadModuleCheckpointFileAuto(model, path);
+  Status status = serialize::LoadModuleCheckpointFile(model, path);
   if (!status.ok()) {
     std::printf("load failed: %s\n", status.ToString().c_str());
     return 1;
   }
   std::printf("loaded %lld parameters from %s\n",
               static_cast<long long>(model.ParameterCount()), path.c_str());
-  std::string out = flags.GetString("out");
-  if (!out.empty()) {
-    status = serialize::SaveModuleCheckpointFile(model, out);
-    if (!status.ok()) {
-      std::printf("re-save failed: %s\n", status.ToString().c_str());
-      return 1;
-    }
-    std::printf("re-saved in format v%u to %s\n", serialize::kFormatVersion,
-                out.c_str());
-  }
   return 0;
 }
 
@@ -420,7 +412,7 @@ int Usage() {
       "           steps, 0 = full schedule; default ddim, 10)\n"
       "  evaluate --data=F.bin --pattern=... --method=pristi|csdi|mean|...\n"
       "  save     --out=F.ckpt [model flags]    write a fresh model\n"
-      "  load     --model=F.ckpt [--out=G.ckpt] validate / migrate\n"
+      "  load     --model=F.ckpt [model flags]  validate against the model\n"
       "  inspect  --file=F.ckpt                 dump the record table\n");
   return 2;
 }

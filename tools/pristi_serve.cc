@@ -18,11 +18,15 @@
 //                           request without submitting.
 //   wait                    block until every outstanding request resolves,
 //                           print one line per request in submission order
-//   reload <path>           hot-swap weights from a checkpoint; a damaged
-//                           file is reported and the old weights keep
+//   reload <path>           hot-swap weights from a checkpoint; a missing,
+//                           empty, foreign or damaged file is reported with
+//                           its typed status and the old weights keep
 //                           serving
 //   stats                   session counters
 //   quit                    drain and exit (EOF does the same)
+//
+// --model must name a checkpoint in the versioned format (pristi_cli train
+// or save writes one); any other file is reported and the daemon exits 1.
 //
 // Batching knobs default from the PRISTI_SERVE_* environment registry
 // (src/common/env.h); flags override.
@@ -146,8 +150,12 @@ int Main(int argc, char** argv) {
                                                    rng);
   std::string ckpt = flags.GetString("model");
   if (!ckpt.empty()) {
-    Status status = serialize::LoadModuleCheckpointFileAuto(*model, ckpt);
-    CHECK(status.ok()) << "cannot load " << ckpt << ": " << status.ToString();
+    Status status = serialize::LoadModuleCheckpointFile(*model, ckpt);
+    if (!status.ok()) {
+      std::printf("cannot load %s: %s\n", ckpt.c_str(),
+                  status.ToString().c_str());
+      return 1;
+    }
     std::printf("loaded checkpoint %s\n", ckpt.c_str());
   } else {
     PRISTI_LOG_WARNING << "--model not given; serving an untrained model";
